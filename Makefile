@@ -35,12 +35,12 @@ test-race:
 
 # Race-enabled soak: a 5-node live TCP loopback cluster under the seeded
 # chaos schedule; fails unless it converges with zero post-convergence
-# safety violations. Node 0 sends with the compact v2 wire codec so every
-# soak exercises v1/v2 interop on the batched send path. The second run
-# replays the gray-burst scenario under a bursty workload — the E16
-# gray-failure soak.
+# safety violations. The first run is the plain seeded soak over the
+# batched send path; the second replays the gray-burst scenario under a
+# bursty workload — the E16 gray-failure soak; the third is the sharded
+# cluster.
 soak:
-	$(GO) run -race ./cmd/gbload -n 5 -duration 10s -seed 1 -v2 0 -check
+	$(GO) run -race ./cmd/gbload -n 5 -duration 10s -seed 1 -check
 	$(GO) run -race ./cmd/gbload -n 5 -duration 10s -seed 1 -workload bursty -scenario gray-burst -check
 	$(GO) run -race ./cmd/gbload -n 8 -shards 4 -duration 10s -seed 1 -check
 

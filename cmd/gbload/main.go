@@ -68,7 +68,6 @@ func run(args []string, out, errOut io.Writer) error {
 	traceIn := fs.String("trace-in", "", "replay a recorded workload schedule file instead of generating draws")
 	outPath := fs.String("out", "-", `snapshot output file ("-" = stdout)`)
 	check := fs.Bool("check", false, "exit non-zero unless converged with zero post-convergence violations")
-	v2Nodes := fs.String("v2", "", "comma-separated process ids that send with the compact v2 wire codec (others stay v1; receivers auto-detect)")
 	schedOut := fs.String("schedule-out", "", "also write the pre-drawn fault schedule JSON to this file")
 	connect := fs.String("connect", "", "comma-separated gbnode /metrics.json addresses: observe a remote cluster instead of booting loopback")
 	if err := fs.Parse(args); err != nil {
@@ -97,13 +96,6 @@ func run(args []string, out, errOut io.Writer) error {
 
 	cfg := harness.LiveConfig{
 		N: *n, Shards: *shards, Algo: a, Seed: *seed, Duration: *duration, Delta: *delta,
-	}
-	if *v2Nodes != "" {
-		ids, err := parseIDs(*v2Nodes, *n)
-		if err != nil {
-			return fmt.Errorf("bad -v2: %w", err)
-		}
-		cfg.V2Nodes = ids
 	}
 
 	// -scenario replaces the ad-hoc schedule flags with a named preset;
@@ -298,26 +290,6 @@ func recordResult(r *obs.Registry, res harness.LiveResult) {
 		set("gbload_msgs_per_sec", "wire messages framed per second, cluster-wide",
 			(msgs*1000+res.DurationMS/2)/res.DurationMS)
 	}
-}
-
-// parseIDs parses a comma-separated process id list, checking range.
-func parseIDs(s string, n int) ([]int, error) {
-	var ids []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		var id int
-		if _, err := fmt.Sscanf(part, "%d", &id); err != nil {
-			return nil, fmt.Errorf("%q is not a process id", part)
-		}
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("id %d out of range [0,%d)", id, n)
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
 }
 
 // runRemote observes a running cluster: snapshot every node's

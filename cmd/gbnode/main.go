@@ -86,7 +86,6 @@ func parseFlags(args []string) (NodeConfig, error) {
 	algo := fs.String("algo", "ra", "protocol: ra or lamport")
 	fs.DurationVar(&cfg.Delta, "delta", 25*time.Millisecond, "W' wrapper timeout (negative disables the wrapper)")
 	fs.DurationVar(&cfg.WrapperTick, "tick", 2*time.Millisecond, "wrapper evaluation cadence")
-	fs.BoolVar(&cfg.V2, "v2", false, "send with the compact v2 wire codec (peers auto-detect; mixed clusters are fine)")
 	fs.StringVar(&cfg.HTTP, "http", "127.0.0.1:0", `debug HTTP listen address ("" disables)`)
 	fs.DurationVar(&cfg.Think, "think", 15*time.Millisecond, "max think time between CS attempts")
 	fs.DurationVar(&cfg.Eat, "eat", time.Millisecond, "time spent holding the CS")

@@ -28,7 +28,6 @@ type NodeConfig struct {
 	Algo        harness.Algo
 	Delta       time.Duration // negative = no W' wrapper
 	WrapperTick time.Duration
-	V2          bool   // send with the compact v2 wire codec (receivers auto-detect)
 	HTTP        string // "" disables the debug HTTP server
 	Think, Eat  time.Duration
 	Duration    time.Duration
@@ -80,12 +79,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	o := newObs()
 	nd := &Node{cfg: cfg, obs: o, stop: make(chan struct{})}
 
-	codec := wire.Version
-	if cfg.V2 {
-		codec = wire.Version2
-	}
 	tr, err := wire.NewTransport(wire.Config{
-		N: cfg.N, Local: []int{cfg.ID}, Listen: cfg.Listen, Codec: codec, Obs: o,
+		N: cfg.N, Local: []int{cfg.ID}, Listen: cfg.Listen, Obs: o,
 	})
 	if err != nil {
 		return nil, err

@@ -94,11 +94,6 @@ type LiveConfig struct {
 	Scenario *scenario.Spec
 	// Schedule, when non-nil, is the pre-drawn fault plan to apply.
 	Schedule *wire.FaultSchedule
-	// V2Nodes lists process ids whose transports send with the compact v2
-	// wire codec; everyone else stays on v1. Receivers auto-detect, so any
-	// mix is a valid cluster — listing one node exercises v1/v2 interop on
-	// live edges.
-	V2Nodes []int
 	// Obs, when non-nil, receives all metrics; otherwise RunLive builds a
 	// private bundle (returned in LiveResult.Snapshot either way).
 	Obs *obs.Obs
@@ -227,18 +222,10 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	})
 	defer chaos.Close()
 
-	v2 := make(map[int]bool, len(cfg.V2Nodes))
-	for _, id := range cfg.V2Nodes {
-		v2[id] = true
-	}
 	transports := make([]*wire.Transport, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		codec := wire.Version
-		if v2[i] {
-			codec = wire.Version2
-		}
-		tr, err := wire.NewTransport(wire.Config{N: n, Local: []int{i}, Codec: codec, Obs: o})
+		tr, err := wire.NewTransport(wire.Config{N: n, Local: []int{i}, Obs: o})
 		if err != nil {
 			for j := 0; j < i; j++ {
 				_ = transports[j].Close()

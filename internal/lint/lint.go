@@ -224,7 +224,6 @@ func DefaultConfig() *Config {
 		HotRequired: []HotRequiredRule{
 			{Scope: "internal/wire", Funcs: []string{
 				"AppendFrame", "DecodePayload", "Reader.ReadMessage",
-				"V2Encoder.AppendFrame", "V2Reader.ReadMessage",
 				"Transport.encodeBatch", "msgQueue.put", "msgQueue.drain",
 			}, Reason: "the wire send/recv chain is benchmarked allocation-free (bench_wire_throughput); the hotpath contract on it is load-bearing, not decorative"},
 		},

@@ -119,29 +119,6 @@ func DecodePayload(p []byte) (tme.Message, error) {
 	}, nil
 }
 
-// Writer frames messages onto an io.Writer. Not goroutine-safe.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewWriter returns a framing writer over w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, buf: make([]byte, 0, FrameSize)}
-}
-
-// WriteMessage writes one frame. One frame is one Write call, so frames
-// interleave whole on a shared connection only if callers serialize.
-func (w *Writer) WriteMessage(m tme.Message) error {
-	b, err := AppendFrame(w.buf[:0], m)
-	if err != nil {
-		return err
-	}
-	w.buf = b[:0]
-	_, err = w.w.Write(b)
-	return err
-}
-
 // Reader deframes messages from an io.Reader.
 type Reader struct {
 	r   io.Reader

@@ -87,11 +87,31 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestResourceZeroFrameUnchanged pins the sharding refactor's interop
-// contract: a resource-0 message encodes to the exact bytes the pre-shard
-// codec produced (the resource field reuses the old always-zero flags
-// bytes), so -shards 1 clusters are wire-compatible with old peers.
+// TestResourceZeroFrameUnchanged pins the wire bytes old and new peers
+// must agree on. A resource-0 message encodes to the exact bytes the
+// pre-shard codec produced (the resource field reuses the old always-zero
+// flags bytes), so -shards 1 clusters are wire-compatible with old peers;
+// the golden frame pins every field's offset, width and byte order.
 func TestResourceZeroFrameUnchanged(t *testing.T) {
+	golden := []byte{
+		0x00, 0x00, 0x00, 0x18, // payload length 24
+		0x01,       // version
+		0x02,       // kind (Reply)
+		0x00, 0x00, // resource
+		0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // clock
+		0x00, 0x00, 0x00, 0x05, // ts pid
+		0x00, 0x00, 0x00, 0x03, // from
+		0xff, 0xff, 0xff, 0xfe, // to (-2)
+	}
+	sample := tme.Message{Kind: tme.Reply, TS: ltime.Timestamp{Clock: 0x0102030405060708, PID: 5}, From: 3, To: -2}
+	gb, err := AppendFrame(nil, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, golden) {
+		t.Errorf("frame bytes changed:\n got % x\nwant % x", gb, golden)
+	}
+
 	m := tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 42, PID: 3}, From: 3, To: 0}
 	b, err := AppendFrame(nil, m)
 	if err != nil {
@@ -112,15 +132,16 @@ func TestResourceZeroFrameUnchanged(t *testing.T) {
 }
 
 func TestReaderWriterStream(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var stream []byte
 	msgs := sampleMessages()
 	for _, m := range msgs {
-		if err := w.WriteMessage(m); err != nil {
-			t.Fatalf("WriteMessage(%+v): %v", m, err)
+		b, err := AppendFrame(stream, m)
+		if err != nil {
+			t.Fatalf("AppendFrame(%+v): %v", m, err)
 		}
+		stream = b
 	}
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(stream))
 	for i, want := range msgs {
 		got, err := r.ReadMessage()
 		if err != nil {
@@ -157,35 +178,27 @@ func TestReaderRejectsOversizedLength(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame feeds arbitrary byte streams through both deframing
-// readers: malformed input must error, never panic, and anything that
-// decodes must re-encode to an identical message under its codec. The v2
-// half replays the stream through a stateful V2Reader — intern-table and
-// clock-delta state are part of the attack surface.
+// FuzzDecodeFrame feeds arbitrary byte streams through the deframing
+// reader: malformed input must error, never panic. The v1 frame carries no
+// connection state and every payload byte is a free field, so anything the
+// reader accepts must re-encode to exactly the bytes it was read from.
 func FuzzDecodeFrame(f *testing.F) {
+	var stream []byte
 	for _, m := range sampleMessages() {
 		b, err := AppendFrame(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
+		stream = append(stream, b...)
 	}
-	enc := NewV2Encoder()
-	var v2stream []byte
-	for _, m := range sampleMessages() {
-		b, err := enc.AppendFrame(v2stream, m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		v2stream = b
-	}
-	f.Add(v2stream)
+	f.Add(stream)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(bytes.Repeat([]byte{0}, FrameSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
-		for {
+		for off := 0; ; off += FrameSize {
 			m, err := r.ReadMessage()
 			if err != nil {
 				break
@@ -194,27 +207,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decoded message %+v does not re-encode: %v", m, err)
 			}
-			got, err := DecodePayload(b[lenPrefixSize:])
-			if err != nil || got != m {
-				t.Fatalf("re-decode mismatch: %+v vs %+v (err %v)", got, m, err)
-			}
-		}
-		r2 := NewV2Reader(bytes.NewReader(data))
-		for {
-			m, err := r2.ReadMessage()
-			if err != nil {
-				break
-			}
-			// Anything the v2 decoder accepts must survive a fresh
-			// encode/decode round trip (codec state changes the bytes,
-			// never the message).
-			b, err := NewV2Encoder().AppendFrame(nil, m)
-			if err != nil {
-				t.Fatalf("v2-decoded message %+v does not re-encode: %v", m, err)
-			}
-			got, err := NewV2Reader(bytes.NewReader(b)).ReadMessage()
-			if err != nil || got != m {
-				t.Fatalf("v2 re-decode mismatch: %+v vs %+v (err %v)", got, m, err)
+			if in := data[off : off+FrameSize]; !bytes.Equal(b, in) {
+				t.Fatalf("re-encode mismatch for %+v:\n got % x\nwant % x", m, b, in)
 			}
 		}
 	})

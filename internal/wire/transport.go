@@ -24,11 +24,6 @@ type Config struct {
 	// Listen is the TCP listen address. Default "127.0.0.1:0" (loopback,
 	// kernel-chosen port — read it back with Addr).
 	Listen string
-	// Codec selects the frame encoding for *outgoing* connections:
-	// Version (1, the default) or Version2 (compact varint frames,
-	// announced per connection with a preamble). Inbound connections
-	// always auto-detect, so mixed-codec clusters interoperate.
-	Codec int
 	// DialBackoffMin/Max bound the exponential reconnect backoff.
 	// Defaults 20ms / 2s.
 	DialBackoffMin, DialBackoffMax time.Duration
@@ -39,9 +34,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Listen == "" {
 		c.Listen = "127.0.0.1:0"
-	}
-	if c.Codec == 0 {
-		c.Codec = Version
 	}
 	if c.DialBackoffMin <= 0 {
 		c.DialBackoffMin = 20 * time.Millisecond
@@ -63,7 +55,6 @@ type wireInstruments struct {
 	connErrors *obs.Counter
 	flushes    *obs.Counter
 	bytesSent  *obs.Counter
-	v2Conns    *obs.Counter
 	batchSize  *obs.Histogram
 }
 
@@ -81,7 +72,6 @@ func newWireInstruments(o *obs.Obs) wireInstruments {
 		connErrors: r.Counter("wire_conn_errors_total", "connection read/write errors (excluding clean close)"),
 		flushes:    r.Counter("wire_flushes_total", "batched sender flushes (≈ write syscalls)"),
 		bytesSent:  r.Counter("wire_bytes_sent_total", "frame bytes flushed onto TCP connections"),
-		v2Conns:    r.Counter("wire_v2_conns_total", "inbound connections negotiated to the v2 codec"),
 		batchSize:  r.Histogram("wire_batch_size", "messages per sender flush", []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096}),
 	}
 }
@@ -137,9 +127,6 @@ func NewTransport(cfg Config) (*Transport, error) {
 		return nil, fmt.Errorf("wire: Config.N (%d) and Local are required", cfg.N)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Codec != Version && cfg.Codec != Version2 {
-		return nil, fmt.Errorf("wire: Config.Codec %d is not a known version (want %d or %d)", cfg.Codec, Version, Version2)
-	}
 	t := &Transport{
 		cfg:   cfg,
 		local: make([]bool, cfg.N),
@@ -289,30 +276,14 @@ func (t *Transport) acceptLoop() {
 
 // serveConn deframes one inbound connection until error or close. The
 // whole stream goes through one buffered reader, so a frame costs a
-// buffer copy, not a syscall; the codec version is negotiated once from
-// the connection preamble (v2 announces itself, anything else is v1). A
-// malformed frame loses stream framing, so the connection is dropped
-// (the peer redials).
+// buffer copy, not a syscall. A malformed frame loses stream framing, so
+// the connection is dropped (the peer redials).
 func (t *Transport) serveConn(c net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(c)
-	br := bufio.NewReaderSize(c, connBufSize)
-	var r1 *Reader
-	var r2 *V2Reader
-	if sniffV2(br) {
-		t.ins.v2Conns.Inc()
-		r2 = NewV2Reader(br)
-	} else {
-		r1 = NewReader(br)
-	}
+	r := NewReader(bufio.NewReaderSize(c, connBufSize))
 	for {
-		var m tme.Message
-		var err error
-		if r2 != nil {
-			m, err = r2.ReadMessage()
-		} else {
-			m, err = r1.ReadMessage()
-		}
+		m, err := r.ReadMessage()
 		if err != nil {
 			if err != io.EOF {
 				t.ins.connErrors.Inc()
@@ -331,18 +302,6 @@ func (t *Transport) serveConn(c net.Conn) {
 		}
 		(*d)(m.To, m)
 	}
-}
-
-// sniffV2 reports whether the connection opens with the v2 preamble,
-// consuming it when present. Any other prefix (including a short or
-// already-EOF stream) leaves the reader untouched for the v1 deframer.
-func sniffV2(br *bufio.Reader) bool {
-	pre, err := br.Peek(len(v2Preamble))
-	if err != nil || string(pre) != v2Preamble {
-		return false
-	}
-	_, _ = br.Discard(len(v2Preamble))
-	return true
 }
 
 // Retained-buffer bounds for the per-edge sender: a burst may grow the
@@ -368,13 +327,12 @@ func (t *Transport) sender(e *outEdge) {
 	defer t.wg.Done()
 	var conn net.Conn
 	var bw *bufio.Writer
-	var enc *V2Encoder // nil on v1 connections
 	var pending []tme.Message
 	var frames []byte
 	dropConn := func() {
 		if conn != nil {
 			t.untrack(conn)
-			conn, bw, enc = nil, nil, nil
+			conn, bw = nil, nil
 		}
 	}
 	defer dropConn()
@@ -412,22 +370,14 @@ func (t *Transport) sender(e *outEdge) {
 			}
 			t.ins.dials.Inc()
 			conn, bw = c, bufio.NewWriterSize(c, connBufSize)
-			if t.cfg.Codec == Version2 {
-				// Announce v2 for this connection; the encoder state
-				// (clock delta, intern table) starts fresh on both ends.
-				enc = NewV2Encoder()
-				_, _ = bw.WriteString(v2Preamble)
-			}
 		}
+		frames, pending = t.encodeBatch(frames[:0], pending)
 		var err error
-		frames, pending, err = t.encodeBatch(frames[:0], pending, enc)
+		if len(frames) > 0 {
+			_, err = bw.Write(frames)
+		}
 		if err == nil {
-			if len(frames) > 0 {
-				_, err = bw.Write(frames)
-			}
-			if err == nil {
-				err = bw.Flush()
-			}
+			err = bw.Flush()
 		}
 		if err != nil {
 			t.ins.connErrors.Inc()
@@ -456,25 +406,16 @@ func (t *Transport) sender(e *outEdge) {
 	}
 }
 
-// encodeBatch appends the frames for every message of batch to dst using
-// enc (nil = v1 codec). Unencodable messages (fields outside the wire
-// shape) are dropped from the batch — they could never be sent on any
-// connection — and the surviving batch is returned; an error return means
-// nothing was appended beyond the already-encoded prefix and the caller
-// must treat the connection as poisoned (cannot happen today: both codecs
-// only fail per message).
+// encodeBatch appends the frames for every message of batch to dst.
+// Unencodable messages (fields outside the wire shape) are dropped from
+// the batch — they could never be sent on any connection — and the
+// surviving batch is returned.
 //
 //gblint:hotpath
-func (t *Transport) encodeBatch(dst []byte, batch []tme.Message, enc *V2Encoder) ([]byte, []tme.Message, error) {
+func (t *Transport) encodeBatch(dst []byte, batch []tme.Message) ([]byte, []tme.Message) {
 	kept := batch[:0]
 	for _, m := range batch {
-		var b []byte
-		var err error
-		if enc != nil {
-			b, err = enc.AppendFrame(dst, m)
-		} else {
-			b, err = AppendFrame(dst, m)
-		}
+		b, err := AppendFrame(dst, m)
 		if err != nil {
 			t.ins.dropped.Inc()
 			continue
@@ -482,7 +423,7 @@ func (t *Transport) encodeBatch(dst []byte, batch []tme.Message, enc *V2Encoder)
 		dst = b
 		kept = append(kept, m)
 	}
-	return dst, kept, nil
+	return dst, kept
 }
 
 // sleepUntil waits d or until stop closes; false means stop.

@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/graybox-stabilization/graybox/internal/ltime"
+	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
 
@@ -160,6 +163,62 @@ func TestTransportRedialsAfterPeerRestart(t *testing.T) {
 	}
 	if len(c1b.snapshot()) == 0 {
 		t.Fatal("no message arrived after peer restart")
+	}
+}
+
+// A peer still speaking the retired compact codec opens its connection
+// with the "GBW2" preamble. Read as a v1 length prefix that is ~1.2e9,
+// far over MaxPayload, so the receiver must drop the connection, count
+// it as a connection error and deliver nothing — and keep serving.
+func TestTransportRejectsRetiredV2Preamble(t *testing.T) {
+	o := obs.New(obs.Options{})
+	tr, err := NewTransport(Config{N: 2, Local: []int{1}, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := &collector{}
+	tr.Start(c.deliver)
+
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The preamble followed by compact frames as an old peer sent them:
+	// more than one v1 frame's worth of bytes, so the reader decides.
+	old := append([]byte("GBW2"), "\x00\x00\x01\x00\x00\x01\x02\x00\x00\x05\x02R\r\x04\x00\x03U\xfd\xff\xff\xff\x1f\x06\xff\xff\xff\xff\x1f\xee\x10\x03\x13\x8d\x03"...)
+	if _, err := conn.Write(old); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read from rejected connection = (%d, %v), want io.EOF (receiver closes)", n, err)
+	}
+	reg := o.Registry()
+	if got := reg.Counter("wire_conn_errors_total", "").Value(); got != 1 {
+		t.Errorf("wire_conn_errors_total = %d, want 1", got)
+	}
+	if got := reg.Counter("wire_msgs_recv_total", "").Value(); got != 0 {
+		t.Errorf("wire_msgs_recv_total = %d, want 0", got)
+	}
+
+	// The transport still serves well-formed peers afterwards.
+	good, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	frame, err := AppendFrame(nil, tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 7}, From: 0, To: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := good.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	got := c.waitLen(t, 1, 5*time.Second)
+	if len(got) != 1 || got[0].TS.Clock != 7 {
+		t.Fatalf("delivered %+v, want only the well-formed frame", got)
 	}
 }
 
