@@ -96,14 +96,11 @@ type RunConfig struct {
 	// per-process workload so liveness obligations can drain.
 	Horizon     int64
 	MaxRequests int
-	// Monitor enables the Lspec/TME monitors (costs an incremental
-	// snapshot per event). Message-economy experiments can turn it off.
+	// Monitor enables the Lspec/TME monitors. Each observed instant re-reads
+	// only the processes that changed and re-evaluates only their clauses;
+	// the rest of the monitors take a stuttering step. Message-economy
+	// experiments can turn it off.
 	Monitor bool
-	// MonitorFullSnapshot forces the reference full-rebuild snapshot path
-	// instead of incremental dirty-tracking. Slower; it exists for the
-	// monitor parity tests, which prove both paths produce identical
-	// measurements.
-	MonitorFullSnapshot bool
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -228,11 +225,7 @@ func RunObserved(cfg RunConfig, o *obs.Obs) RunResult {
 	if cfg.Monitor {
 		mon = lspec.New(cfg.N)
 		mon.Instrument(o)
-		if cfg.MonitorFullSnapshot {
-			s.SetObserver(mon.AsFullSnapshotObserver())
-		} else {
-			s.SetObserver(mon.AsObserver())
-		}
+		s.SetObserver(mon.AsObserver())
 	}
 
 	if cfg.DeadlockFault {

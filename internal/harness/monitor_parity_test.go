@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -177,14 +178,20 @@ func TestMonitorParityConfigs(t *testing.T) {
 
 // TestMonitorParityRandomSeeds sweeps randomized seeds and fault schedules
 // through both observer paths. The generator itself is seeded, so the sweep
-// is reproducible; it exists to catch dirty-tracking bugs that only a fault
-// pattern nobody hand-picked would expose.
+// is reproducible; it exists to catch dirty-tracking and stuttering-step
+// bugs that only a fault pattern nobody hand-picked would expose.
+//
+// Rows 0–5 run RA under fault bursts. Rows 6–8 run Lamport, whose clock
+// also moves on release messages, so timestamp.j and
+// release.req-tracks-ts.j follow other trajectories than under RA. Rows
+// 9–11 add the §4 deadlock (RA, Lamport, and Lamport unwrapped): their long
+// hungry stretches keep ME2 obligations open across many stuttering steps.
 func TestMonitorParityRandomSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized sweep skipped in -short mode")
 	}
 	rng := rand.New(rand.NewSource(20010701)) // DSN 2001
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		cfg := RunConfig{
 			Algo:      RA,
 			N:         3 + rng.Intn(3),
@@ -203,6 +210,10 @@ func TestMonitorParityRandomSeeds(t *testing.T) {
 		if i%3 == 2 {
 			cfg.Delta = NoWrapper
 		}
-		assertMonitorParity(t, cfg.Algo.String(), cfg)
+		if i >= 6 && i != 9 {
+			cfg.Algo = Lamport
+		}
+		cfg.DeadlockFault = i >= 9
+		assertMonitorParity(t, fmt.Sprintf("row %d %s deadlock=%v", i, cfg.Algo, cfg.DeadlockFault), cfg)
 	}
 }

@@ -226,6 +226,13 @@ func DefaultConfig() *Config {
 				"AppendFrame", "DecodePayload", "Reader.ReadMessage",
 				"Transport.encodeBatch", "msgQueue.put", "msgQueue.drain",
 			}, Reason: "the wire send/recv chain is benchmarked allocation-free (bench_wire_throughput); the hotpath contract on it is load-bearing, not decorative"},
+			{Scope: "internal/spec", Funcs: []string{
+				"Suite.ObserveChanged", "Suite.collect",
+				"unlessMonitor.Stutter", "invariantMonitor.Stutter", "LeadsToMonitor.Stutter",
+			}, Reason: "the scoped observe and stuttering-step path runs on every observed simulator instant and is pinned allocation-free (lspec TestObserveAllocs)"},
+			{Scope: "internal/lspec", Funcs: []string{
+				"Monitors.observeChanged", "monotoneTS.Stutter", "stableREQ.Stutter",
+			}, Reason: "the scoped observe and stuttering-step path runs on every observed simulator instant and is pinned allocation-free (TestObserveAllocs)"},
 		},
 		ObsPackage: "internal/obs",
 		SpawnScope: []string{

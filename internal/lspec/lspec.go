@@ -53,6 +53,9 @@ type Monitors struct {
 	replyPending []*spec.LeadsToMonitor[sim.GlobalState]
 
 	violations []TimedViolation
+	// allChanged marks every process changed: Observe's argument to the
+	// scoped suite.
+	allChanged []bool
 	// prevPhases retains the previous observation's client phases — all
 	// checkFCFS needs from the prior state — so observing costs no heap
 	// copy of the snapshot.
@@ -121,7 +124,15 @@ func sanitize(s string) string {
 
 // New returns monitors for an n-process system.
 func New(n int) *Monitors {
-	m := &Monitors{n: n, suite: spec.NewSuite[sim.GlobalState]()}
+	m := &Monitors{n: n, suite: spec.NewSuite[sim.GlobalState](),
+		allChanged: make([]bool, n), prevPhases: make([]tme.Phase, n)}
+	for j := range m.allChanged {
+		m.allChanged[j] = true
+	}
+
+	// Every clause but Structural, ME1 and invariant I reads one process j
+	// alone (Lspec is a local specification, §3.2), so it is registered
+	// with scope j and stutters while j is unchanged.
 
 	// Structural Spec: every phase is exactly one of {t,h,e}.
 	m.suite.Add(spec.NewInvariant("structural", func(g sim.GlobalState) bool {
@@ -146,7 +157,7 @@ func New(n int) *Monitors {
 	// trick below; here as a stable-difference check).
 	for j := 0; j < n; j++ {
 		j := j
-		m.suite.Add(&monotoneTS{name: fmt.Sprintf("timestamp.%d", j), j: j})
+		m.suite.AddScoped(j, &monotoneTS{name: fmt.Sprintf("timestamp.%d", j), j: j})
 	}
 
 	// Flow Spec: t unless h, h unless e, e unless t — per process.
@@ -155,21 +166,21 @@ func New(n int) *Monitors {
 		phaseIs := func(p tme.Phase) spec.Predicate[sim.GlobalState] {
 			return func(g sim.GlobalState) bool { return g.Nodes[j].Phase == p }
 		}
-		m.suite.Add(spec.NewUnless(fmt.Sprintf("flow.t.%d", j), phaseIs(tme.Thinking), phaseIs(tme.Hungry)))
-		m.suite.Add(spec.NewUnless(fmt.Sprintf("flow.h.%d", j), phaseIs(tme.Hungry), phaseIs(tme.Eating)))
-		m.suite.Add(spec.NewUnless(fmt.Sprintf("flow.e.%d", j), phaseIs(tme.Eating), phaseIs(tme.Thinking)))
+		m.suite.AddScoped(j, spec.NewUnless(fmt.Sprintf("flow.t.%d", j), phaseIs(tme.Thinking), phaseIs(tme.Hungry)))
+		m.suite.AddScoped(j, spec.NewUnless(fmt.Sprintf("flow.h.%d", j), phaseIs(tme.Hungry), phaseIs(tme.Eating)))
+		m.suite.AddScoped(j, spec.NewUnless(fmt.Sprintf("flow.e.%d", j), phaseIs(tme.Eating), phaseIs(tme.Thinking)))
 	}
 
 	// Request Spec (safety half): while hungry, REQ_j is unchanged.
 	for j := 0; j < n; j++ {
 		j := j
-		m.suite.Add(&stableREQ{name: fmt.Sprintf("request.req-stable.%d", j), j: j})
+		m.suite.AddScoped(j, &stableREQ{name: fmt.Sprintf("request.req-stable.%d", j), j: j})
 	}
 
 	// CS Release Spec: while thinking, REQ_j equals ts.j.
 	for j := 0; j < n; j++ {
 		j := j
-		m.suite.Add(spec.NewInvariant(fmt.Sprintf("release.req-tracks-ts.%d", j),
+		m.suite.AddScoped(j, spec.NewInvariant(fmt.Sprintf("release.req-tracks-ts.%d", j),
 			func(g sim.GlobalState) bool {
 				s := g.Nodes[j]
 				if s.Phase != tme.Thinking || !s.HasTS {
@@ -185,7 +196,7 @@ func New(n int) *Monitors {
 		lt := spec.NewLeadsToNot(fmt.Sprintf("cs-transient.%d", j),
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Eating })
 		m.csTransient = append(m.csTransient, lt)
-		m.suite.Add(lt)
+		m.suite.AddScoped(j, lt)
 	}
 
 	// ME2 (liveness): h.j ↦ e.j.
@@ -195,7 +206,7 @@ func New(n int) *Monitors {
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Hungry },
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Eating })
 		m.me2 = append(m.me2, lt)
-		m.suite.Add(lt)
+		m.suite.AddScoped(j, lt)
 	}
 
 	// Reply Spec (liveness): received(j.REQ_k) ∧ j.REQ_k lt REQ_j — a
@@ -213,7 +224,7 @@ func New(n int) *Monitors {
 			}
 			lt := spec.NewLeadsToNot(fmt.Sprintf("reply.%d.%d", j, k), p)
 			m.replyPending = append(m.replyPending, lt)
-			m.suite.Add(lt)
+			m.suite.AddScoped(j, lt)
 		}
 	}
 
@@ -238,23 +249,27 @@ func InvariantI(g sim.GlobalState) bool {
 }
 
 // Observe feeds the next snapshot to all monitors.
+func (m *Monitors) Observe(g sim.GlobalState) { m.observeChanged(g, m.allChanged) }
+
+// observeChanged feeds the next snapshot, which differs from the previous
+// one at most in the processes j with changed[j]: only their monitors (and
+// the global ones, if any changed) re-evaluate, the rest take a stuttering
+// step.
 //
 //gblint:hotpath
-func (m *Monitors) Observe(g sim.GlobalState) {
+func (m *Monitors) observeChanged(g sim.GlobalState, changed []bool) {
 	before := len(m.suite.Violations())
-	m.suite.Observe(g)
+	m.suite.ObserveChanged(g, changed)
 	for _, v := range m.suite.Violations()[before:] {
 		tv := TimedViolation{Time: g.Time, V: v}
 		m.violations = append(m.violations, tv)
 		m.record(tv)
 	}
-	m.checkFCFS(g)
-	if cap(m.prevPhases) < len(g.Nodes) {
-		m.prevPhases = make([]tme.Phase, len(g.Nodes))
-	}
-	m.prevPhases = m.prevPhases[:len(g.Nodes)]
-	for i := range g.Nodes {
-		m.prevPhases[i] = g.Nodes[i].Phase
+	m.checkFCFS(g, changed)
+	for k, c := range changed {
+		if c {
+			m.prevPhases[k] = g.Nodes[k].Phase
+		}
 	}
 	m.havePrev = true
 	m.obs++
@@ -263,13 +278,14 @@ func (m *Monitors) Observe(g sim.GlobalState) {
 // checkFCFS flags a "knowing overtake": process k transitions into eating
 // while some hungry j holds an earlier request that k has recorded exactly
 // (k.REQ_j = REQ_j). Recording j's request implies it causally preceded k's
-// entry, so this is an operational ME3 violation.
-func (m *Monitors) checkFCFS(g sim.GlobalState) {
+// entry, so this is an operational ME3 violation. Only a changed k can have
+// just entered.
+func (m *Monitors) checkFCFS(g sim.GlobalState, changed []bool) {
 	if !m.havePrev {
 		return
 	}
-	for k := range g.Nodes {
-		if g.Nodes[k].Phase != tme.Eating || m.prevPhases[k] == tme.Eating {
+	for k := range changed {
+		if !changed[k] || g.Nodes[k].Phase != tme.Eating || m.prevPhases[k] == tme.Eating {
 			continue
 		}
 		// k just entered.
@@ -303,23 +319,19 @@ func (m *Monitors) checkFCFS(g sim.GlobalState) {
 // corruption between activity events is observed at the next observed
 // event; violation times shift by at most one event.
 //
-// Snapshots are maintained incrementally: the simulator's dirty tracking
-// tells the observer which processes changed and whether any channel was
-// touched, so each observation re-reads only the changed parts instead of
-// rebuilding the whole GlobalState. The observation stream is identical to
+// Observations are incremental: the simulator's dirty tracking tells the
+// observer which processes changed since the last observation, so only
+// those are re-read into the one snapshot buffer, and only their monitors
+// re-evaluate — every other monitor takes a stuttering step. Monitors keep
+// scalars from the previous state, never the snapshot itself, so the
+// buffer can be updated in place. The observation stream is identical to
 // AsFullSnapshotObserver's (proven by the monitor parity tests); only the
 // per-event work differs.
 func (m *Monitors) AsObserver() sim.Observer {
 	lastActivity := -1
 	lastTime := int64(-1)
-	// Two rotating snapshot buffers: every monitor retains at most the
-	// immediately previous state, so a buffer is never overwritten while
-	// a monitor still reads it. Each buffer carries its own versions, so
-	// delta updates account for everything that changed since *that*
-	// buffer was last synchronized (two observations ago).
-	var bufs [2]sim.GlobalState
-	var vers [2]sim.SnapVersions
-	cur := 0
+	var g sim.GlobalState
+	var v sim.SnapVersions
 	return func(s *sim.Sim) {
 		mt := s.Metrics()
 		activity := mt.Delivered + mt.Requests + mt.Releases +
@@ -328,21 +340,19 @@ func (m *Monitors) AsObserver() sim.Observer {
 			return
 		}
 		lastActivity, lastTime = activity, s.Now()
-		s.SnapshotDeltaInto(&bufs[cur], &vers[cur])
-		m.Observe(bufs[cur])
-		cur = 1 - cur
+		m.observeChanged(g, s.SnapshotDeltaInto(&g, &v))
 	}
 }
 
 // AsFullSnapshotObserver is the reference observer: identical observation
 // cadence to AsObserver, but every snapshot is rebuilt from scratch with
-// SnapshotInto. It exists so the parity tests can prove the incremental
-// path equivalent; production callers want AsObserver.
+// SnapshotInto and every monitor re-evaluates it. It exists so the parity
+// tests can prove the incremental path equivalent; production callers want
+// AsObserver.
 func (m *Monitors) AsFullSnapshotObserver() sim.Observer {
 	lastActivity := -1
 	lastTime := int64(-1)
-	var bufs [2]sim.GlobalState
-	cur := 0
+	var g sim.GlobalState
 	return func(s *sim.Sim) {
 		mt := s.Metrics()
 		activity := mt.Delivered + mt.Requests + mt.Releases +
@@ -351,9 +361,8 @@ func (m *Monitors) AsFullSnapshotObserver() sim.Observer {
 			return
 		}
 		lastActivity, lastTime = activity, s.Now()
-		s.SnapshotInto(&bufs[cur])
-		m.Observe(bufs[cur])
-		cur = 1 - cur
+		s.SnapshotInto(&g)
+		m.Observe(g)
 	}
 }
 
@@ -467,6 +476,11 @@ type monotoneTS struct {
 func (mt *monotoneTS) Name() string { return mt.name }
 func (mt *monotoneTS) Pending() int { return 0 }
 
+// Stutter feeds a repeat of the previous state: ts.j did not move.
+//
+//gblint:hotpath
+func (mt *monotoneTS) Stutter() *spec.Violation { return nil }
+
 //gblint:hotpath
 func (mt *monotoneTS) Observe(g sim.GlobalState) *spec.Violation {
 	cur := &g.Nodes[mt.j]
@@ -496,6 +510,11 @@ type stableREQ struct {
 
 func (sr *stableREQ) Name() string { return sr.name }
 func (sr *stableREQ) Pending() int { return 0 }
+
+// Stutter feeds a repeat of the previous state: REQ_j did not move.
+//
+//gblint:hotpath
+func (sr *stableREQ) Stutter() *spec.Violation { return nil }
 
 //gblint:hotpath
 func (sr *stableREQ) Observe(g sim.GlobalState) *spec.Violation {

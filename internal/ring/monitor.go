@@ -133,6 +133,9 @@ type monotoneSeq struct {
 func (ms *monotoneSeq) Name() string { return ms.name }
 func (ms *monotoneSeq) Pending() int { return 0 }
 
+// Stutter feeds a repeat of the previous state: seq_i did not move.
+func (ms *monotoneSeq) Stutter() *spec.Violation { return nil }
+
 func (ms *monotoneSeq) Observe(s Snapshot) *spec.Violation {
 	cur := s.Seqs[ms.i]
 	defer func() { ms.last, ms.have = cur, true }()

@@ -14,8 +14,8 @@
 // The hot path is allocation-free in steady state: scheduled occurrences
 // are typed engine event records (no closure per event) interpreted by the
 // dispatch switch, and observers can keep snapshots current with
-// SnapshotDeltaInto, which reobserves only the processes and channels that
-// changed since the observer last looked.
+// SnapshotDeltaInto, which reobserves only the processes that changed
+// since the observer last looked.
 package sim
 
 import (
@@ -229,13 +229,12 @@ type Sim struct {
 	onRelease func(node int, t int64)
 
 	// Dirty tracking for incremental snapshots: a version counter per
-	// node, one for the whole network, and a global generation bumped
-	// whenever an At-closure ran (closures may mutate anything, so they
-	// invalidate everything). Together these are a compressed delta log:
-	// an observer holding SnapVersions can tell exactly which processes
-	// and whether any channel changed since it last synchronized.
+	// node and a global generation bumped whenever an At-closure ran
+	// (closures may mutate anything, so they invalidate everything).
+	// Together these are a compressed delta log: an observer holding
+	// SnapVersions can tell exactly which processes changed since it last
+	// synchronized.
 	verGlobal uint64
-	verNet    uint64
 	verNodes  []uint64
 }
 
@@ -435,12 +434,8 @@ func (s *Sim) Stop() { s.core.Stop() }
 // dirtyNode marks process i's spec-visible state as possibly changed.
 func (s *Sim) dirtyNode(i int) { s.verNodes[i]++ }
 
-// dirtyNet marks the channel contents as possibly changed.
-func (s *Sim) dirtyNet() { s.verNet++ }
-
 // dirtyAll invalidates every cached snapshot: an At-closure (fault
-// injection, tests) may have mutated any node or channel behind the
-// simulator's back.
+// injection, tests) may have mutated any node behind the simulator's back.
 func (s *Sim) dirtyAll() { s.verGlobal++ }
 
 func (s *Sim) thinkTime() int64 {
@@ -488,7 +483,6 @@ func (s *Sim) send(msgs []tme.Message, fromWrapper bool) {
 			continue
 		}
 		s.mesh.Send(m.From, m.To, m)
-		s.dirtyNet()
 		slot := kindSlot(m.Kind)
 		s.metrics.kindCounts[slot]++
 		s.ins.byKind[slot].Inc()
@@ -524,7 +518,6 @@ func (s *Sim) deliver(ep channel.Endpoint) {
 		s.ins.lost.Inc()
 		return // lost to a fault; the delivery opportunity passes
 	}
-	s.dirtyNet()
 	s.dirtyNode(ep.Dst)
 	s.metrics.Delivered++
 	s.ins.delivered.Inc()
@@ -761,8 +754,8 @@ func (s *Sim) Snapshot() GlobalState {
 }
 
 // SnapshotInto fills g with the current global state, reusing g's slices.
-// Observers that snapshot on every event use SnapshotDeltaInto instead,
-// which skips the unchanged parts.
+// Observers that snapshot on every event and need no InFlight use
+// SnapshotDeltaInto instead, which skips the unchanged processes.
 //
 //gblint:hotpath
 func (s *Sim) SnapshotInto(g *GlobalState) {
@@ -774,13 +767,6 @@ func (s *Sim) SnapshotInto(g *GlobalState) {
 	for i, nd := range s.nodes {
 		tme.SnapshotInto(nd, &g.Nodes[i])
 	}
-	s.snapshotInFlight(g)
-}
-
-// snapshotInFlight rebuilds g.InFlight from the live channels.
-//
-//gblint:hotpath
-func (s *Sim) snapshotInFlight(g *GlobalState) {
 	g.InFlight = g.InFlight[:0]
 	for _, ep := range s.endpoints() {
 		q := s.net.Chan(ep.Src, ep.Dst)
@@ -795,19 +781,22 @@ func (s *Sim) snapshotInFlight(g *GlobalState) {
 // synchronized" and forces a full rebuild on first use.
 type SnapVersions struct {
 	global uint64
-	net    uint64
 	nodes  []uint64
+	reread []bool
 }
 
-// SnapshotDeltaInto brings g — a buffer previously filled through v — up to
-// the current global state, re-snapshotting only the processes whose state
-// changed and rebuilding InFlight only if some channel was touched since
-// v's last synchronization. After an At-closure ran (fault injection),
-// everything is conservatively treated as changed. The result is
-// byte-identical to SnapshotInto; only the work is smaller.
+// SnapshotDeltaInto brings g.Time and g.Nodes — a buffer previously filled
+// through v — up to the current global state, re-snapshotting only the
+// processes whose state changed since v's last synchronization. After an
+// At-closure ran (fault injection), every process is conservatively
+// re-read. g.Nodes ends byte-identical to SnapshotInto's; g.InFlight is
+// left untouched (spec monitors do not read it; SnapshotInto fills it).
+// The result reports which processes were re-read: every other one is
+// unchanged since the last synchronization. It is owned by v and valid
+// until the next call.
 //
 //gblint:hotpath
-func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) {
+func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) (reread []bool) {
 	g.Time = s.core.Now()
 	n := s.cfg.N
 	full := v.global != s.verGlobal || len(v.nodes) != n
@@ -817,19 +806,18 @@ func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) {
 	g.Nodes = g.Nodes[:n]
 	if cap(v.nodes) < n {
 		v.nodes = make([]uint64, n)
+		v.reread = make([]bool, n)
 	}
-	v.nodes = v.nodes[:n]
+	v.nodes, v.reread = v.nodes[:n], v.reread[:n]
 	for i, nd := range s.nodes {
-		if full || v.nodes[i] != s.verNodes[i] {
+		v.reread[i] = full || v.nodes[i] != s.verNodes[i]
+		if v.reread[i] {
 			tme.SnapshotInto(nd, &g.Nodes[i])
 			v.nodes[i] = s.verNodes[i]
 		}
 	}
-	if full || v.net != s.verNet {
-		s.snapshotInFlight(g)
-		v.net = s.verNet
-	}
 	v.global = s.verGlobal
+	return v.reread
 }
 
 // endpoints caches the deterministic endpoint order.

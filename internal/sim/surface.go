@@ -9,9 +9,9 @@ import (
 
 // This file implements engine.Surface (and the richer TME-aware extension
 // the fault injector type-asserts for), so that one substrate-agnostic
-// injector drives faults into the TME model. The generic Fault* methods
-// keep incremental snapshots honest by bumping the dirty counters the
-// same way the simulator's own mutations do.
+// injector drives faults into the TME model. FaultPerturb keeps incremental
+// snapshots honest by bumping the perturbed process's version the same way
+// the simulator's own mutations do; channel faults change no process.
 
 // Channels enumerates the mesh's channels in deterministic order.
 func (s *Sim) Channels() []channel.Endpoint { return s.endpoints() }
@@ -31,7 +31,6 @@ func (s *Sim) FaultDrop(ep channel.Endpoint, i int) bool {
 	if q == nil || !q.Drop(i) {
 		return false
 	}
-	s.dirtyNet()
 	return true
 }
 
@@ -42,7 +41,6 @@ func (s *Sim) FaultDuplicate(ep channel.Endpoint, i int, redeliver int64) bool {
 	if q == nil || !q.Duplicate(i) {
 		return false
 	}
-	s.dirtyNet()
 	s.ScheduleDelivery(ep, redeliver)
 	return true
 }
@@ -79,7 +77,6 @@ func (s *Sim) FaultFlush(ep channel.Endpoint) bool {
 		return false
 	}
 	q.Clear()
-	s.dirtyNet()
 	return true
 }
 
@@ -90,7 +87,6 @@ func (s *Sim) MutateInFlight(ep channel.Endpoint, i int, f func(*tme.Message)) b
 	if q == nil || !q.Mutate(i, f) {
 		return false
 	}
-	s.dirtyNet()
 	return true
 }
 

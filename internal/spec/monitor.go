@@ -11,6 +11,12 @@ type Monitor[S any] interface {
 	// non-nil violation whenever the property fails at this state or on
 	// the transition into it.
 	Observe(s S) *Violation
+	// Stutter feeds a state identical to the previously observed one —
+	// a stuttering step — and returns exactly what Observe of that state
+	// would, replaying the verdict from values cached at the last Observe
+	// instead of re-evaluating predicates. It must follow at least one
+	// Observe.
+	Stutter() *Violation
 	// Pending reports how many obligations remain open (nonzero only for
 	// liveness monitors such as leads-to, where p held but q has not yet).
 	Pending() int
@@ -34,6 +40,15 @@ func NewUnless[S any](name string, p, q Predicate[S]) Monitor[S] {
 
 func (m *unlessMonitor[S]) Name() string { return m.name }
 func (m *unlessMonitor[S]) Pending() int { return 0 }
+
+// Stutter feeds a repeat of the previous state. It can never fail: if p ∧ ¬q
+// held there, p still holds.
+//
+//gblint:hotpath
+func (m *unlessMonitor[S]) Stutter() *Violation {
+	m.idx++
+	return nil
+}
 
 // Observe feeds the next state.
 //
@@ -64,6 +79,7 @@ type invariantMonitor[S any] struct {
 	name string
 	p    Predicate[S]
 	idx  int
+	ok   bool // p held at the previous state
 }
 
 // NewInvariant returns an online monitor reporting every state where p
@@ -79,9 +95,18 @@ func (m *invariantMonitor[S]) Pending() int { return 0 }
 //
 //gblint:hotpath
 func (m *invariantMonitor[S]) Observe(s S) *Violation {
+	m.ok = m.p(s)
+	return m.Stutter()
+}
+
+// Stutter feeds a repeat of the previous state, re-reporting a failing p
+// (the monitor is non-latching).
+//
+//gblint:hotpath
+func (m *invariantMonitor[S]) Stutter() *Violation {
 	idx := m.idx
 	m.idx++
-	if !m.p(s) {
+	if !m.ok {
 		return &Violation{Op: "invariant", Index: idx, Detail: m.name + ": p does not hold"}
 	}
 	return nil
@@ -97,9 +122,10 @@ type leadsToMonitor[S any] struct {
 	// evaluate p once per state instead of twice.
 	selfNeg    bool
 	idx        int
-	openSince  int // index of the earliest unmet p, -1 if none
-	open       int // number of distinct p-positions currently unmet
-	discharged int // obligations met so far
+	openSince  int  // index of the earliest unmet p, -1 if none
+	open       int  // number of distinct p-positions currently unmet
+	discharged int  // obligations met so far
+	pv, qv     bool // p and q at the previous state
 }
 
 // LeadsToMonitor is an online checker for p ↦ q with obligation accounting.
@@ -135,15 +161,24 @@ func (l *LeadsToMonitor[S]) OpenSince() int { return l.m.openSince }
 //gblint:hotpath
 func (l *LeadsToMonitor[S]) Observe(s S) *Violation {
 	m := &l.m
+	m.pv = m.p(s)
+	if m.selfNeg {
+		m.qv = !m.pv
+	} else {
+		m.qv = m.q(s)
+	}
+	return l.Stutter()
+}
+
+// Stutter feeds a repeat of the previous state: an obligation still open
+// there is counted open again.
+//
+//gblint:hotpath
+func (l *LeadsToMonitor[S]) Stutter() *Violation {
+	m := &l.m
 	idx := m.idx
 	m.idx++
-	pv := m.p(s)
-	var qv bool
-	if m.selfNeg {
-		qv = !pv
-	} else {
-		qv = m.q(s)
-	}
+	pv, qv := m.pv, m.qv
 	if qv {
 		m.discharged += m.open
 		m.open = 0
@@ -169,28 +204,76 @@ func (l *LeadsToMonitor[S]) Finish() *Violation {
 
 var _ Monitor[int] = (*LeadsToMonitor[int])(nil)
 
+// Global is the scope of a monitor that may read any part of the state.
+const Global = -1
+
 // Suite aggregates monitors and fans states out to all of them.
 type Suite[S any] struct {
-	monitors   []Monitor[S]
+	monitors   []scoped[S]
 	violations []*Violation
 }
 
-// NewSuite returns a Suite over the given monitors.
-func NewSuite[S any](ms ...Monitor[S]) *Suite[S] {
-	return &Suite[S]{monitors: ms}
+// scoped is a registered monitor with the one process it reads, or Global.
+type scoped[S any] struct {
+	m     Monitor[S]
+	scope int
 }
 
-// Add registers another monitor.
-func (su *Suite[S]) Add(m Monitor[S]) { su.monitors = append(su.monitors, m) }
+// NewSuite returns a Suite over the given monitors, all of Global scope.
+func NewSuite[S any](ms ...Monitor[S]) *Suite[S] {
+	su := &Suite[S]{}
+	for _, m := range ms {
+		su.Add(m)
+	}
+	return su
+}
+
+// Add registers another monitor of Global scope.
+func (su *Suite[S]) Add(m Monitor[S]) { su.AddScoped(Global, m) }
+
+// AddScoped registers a monitor that reads only process scope's part of
+// the state (or any part, for Global), so ObserveChanged can give it a
+// stuttering step while that part is unchanged.
+func (su *Suite[S]) AddScoped(scope int, m Monitor[S]) {
+	su.monitors = append(su.monitors, scoped[S]{m, scope})
+}
 
 // Observe feeds s to every monitor, collecting violations.
 //
 //gblint:hotpath
 func (su *Suite[S]) Observe(s S) {
-	for _, m := range su.monitors {
-		if v := m.Observe(s); v != nil {
-			su.violations = append(su.violations, v)
+	for _, e := range su.monitors {
+		su.collect(e.m.Observe(s))
+	}
+}
+
+// ObserveChanged feeds s, which differs from the previously observed state
+// at most in the processes j with changed[j]. Monitors scoped to a changed
+// process, and Global ones if any process changed, evaluate s; every other
+// monitor takes a stuttering step. Monitors run in registration order, so
+// the violation stream is the one Observe(s) would produce. The first
+// state of a computation must go through Observe or mark every process
+// changed.
+//
+//gblint:hotpath
+func (su *Suite[S]) ObserveChanged(s S, changed []bool) {
+	anyChanged := false
+	for _, c := range changed {
+		anyChanged = anyChanged || c
+	}
+	for _, e := range su.monitors {
+		if (e.scope == Global && anyChanged) || (e.scope != Global && changed[e.scope]) {
+			su.collect(e.m.Observe(s))
+		} else {
+			su.collect(e.m.Stutter())
 		}
+	}
+}
+
+//gblint:hotpath
+func (su *Suite[S]) collect(v *Violation) {
+	if v != nil {
+		su.violations = append(su.violations, v)
 	}
 }
 
@@ -200,8 +283,8 @@ func (su *Suite[S]) Violations() []*Violation { return su.violations }
 // Pending sums open obligations across monitors.
 func (su *Suite[S]) Pending() int {
 	total := 0
-	for _, m := range su.monitors {
-		total += m.Pending()
+	for _, e := range su.monitors {
+		total += e.m.Pending()
 	}
 	return total
 }
